@@ -245,14 +245,6 @@ impl Tally {
     }
 }
 
-/// One job's spec + priority, with its original submit instant for the
-/// latency tally.
-struct PendingJob {
-    spec: String,
-    priority: &'static str,
-    submitted: Instant,
-}
-
 /// Records one typed submit response; returns the ticket if accepted,
 /// `Some(true)` in `.1` if the job should be retried (signalled
 /// `queue_full`).
@@ -282,17 +274,20 @@ fn record_submit(tally: &mut Tally, response: &Response) -> (Option<u64>, bool) 
     }
 }
 
-/// Submits one job with the signalled-`queue_full` backoff loop.
-fn submit_one(
+/// Re-submits one job refused with a signalled `queue_full` on its
+/// first send, sleeping the jittered exponential backoff before each
+/// retry, up to [`MAX_SUBMIT_ATTEMPTS`] sends in all. Returns the ticket
+/// once accepted; a final refusal counts as rejected.
+fn retry_submit(
     client: &mut WireClient,
     tally: &mut Tally,
     jitter: &mut Jitter,
-    job: &PendingJob,
+    item: &SubmitItem,
 ) -> Option<u64> {
-    let item = SubmitItem::new(job.spec.clone()).priority(job.priority);
-    let mut attempt: u32 = 0;
-    loop {
-        attempt += 1;
+    for attempt in 1..MAX_SUBMIT_ATTEMPTS {
+        let base = BACKOFF_BASE_MS << (attempt - 1);
+        std::thread::sleep(Duration::from_millis(base + jitter.below(base)));
+        tally.retries += 1;
         let mut responses = match client.submit_batch(vec![item.clone()]) {
             Ok(responses) => responses,
             Err(err) => {
@@ -304,22 +299,18 @@ fn submit_one(
         let response = responses.pop().unwrap_or_else(|| {
             Response::Error(ra_serve::WireError::new(ErrorCode::Unavailable, "submit"))
         });
-        let (ticket, retryable) = record_submit(tally, &response);
-        if ticket.is_some() {
-            return ticket;
+        match record_submit(tally, &response) {
+            (Some(ticket), _) => return Some(ticket),
+            (None, true) => {}
+            (None, false) => {
+                tally.rejected += 1;
+                tally.rejected_without_signal += 1;
+                return None;
+            }
         }
-        if retryable && attempt < MAX_SUBMIT_ATTEMPTS {
-            let base = BACKOFF_BASE_MS << (attempt - 1);
-            std::thread::sleep(Duration::from_millis(base + jitter.below(base)));
-            tally.retries += 1;
-            continue;
-        }
-        tally.rejected += 1;
-        if !retryable {
-            tally.rejected_without_signal += 1;
-        }
-        return None;
     }
+    tally.rejected += 1;
+    None
 }
 
 /// Records one typed result response against its submit instant.
@@ -363,32 +354,22 @@ fn drive_connection(args: &Args, jobs: &[usize], client_id: usize) -> Tally {
             return tally;
         }
     };
-    let queue: Vec<PendingJob> = jobs
+    let queue: Vec<SubmitItem> = jobs
         .iter()
-        .map(|&job| PendingJob {
-            spec: format!("{} seed={}", args.spec, job % args.distinct),
-            priority: PRIORITIES[job % PRIORITIES.len()],
-            submitted: Instant::now(),
+        .map(|&job| {
+            SubmitItem::new(format!("{} seed={}", args.spec, job % args.distinct))
+                .priority(PRIORITIES[job % PRIORITIES.len()])
         })
         .collect();
-    // Open-loop phase: all submits back-to-back (in `--batch`-sized
-    // bursts when batching); a signalled `queue_full` pauses just that
-    // job for a jittered exponential backoff.
+    // Open-loop phase: all submits back-to-back in `--batch`-sized
+    // bursts (a burst of one still rides `submit_batch`); a signalled
+    // `queue_full` pauses just that job for a jittered exponential
+    // backoff. Latency runs from the instant a job's submit is sent.
     let mut pending: Vec<(u64, Instant)> = Vec::with_capacity(jobs.len());
     let batch = args.batch.max(1);
     for chunk in queue.chunks(batch) {
-        if batch == 1 {
-            let job = &chunk[0];
-            if let Some(ticket) = submit_one(&mut client, &mut tally, &mut jitter, job) {
-                pending.push((ticket, job.submitted));
-            }
-            continue;
-        }
-        let items: Vec<SubmitItem> = chunk
-            .iter()
-            .map(|job| SubmitItem::new(job.spec.clone()).priority(job.priority))
-            .collect();
-        let responses = match client.submit_batch(items) {
+        let sent = Instant::now();
+        let responses = match client.submit_batch(chunk.to_vec()) {
             Ok(responses) => responses,
             Err(err) => {
                 eprintln!("ra-loadgen: submit_batch: {err}");
@@ -396,20 +377,13 @@ fn drive_connection(args: &Args, jobs: &[usize], client_id: usize) -> Tally {
                 continue;
             }
         };
-        for (job, response) in chunk.iter().zip(&responses) {
+        for (item, response) in chunk.iter().zip(&responses) {
             let (ticket, retryable) = record_submit(&mut tally, response);
             match ticket {
-                Some(ticket) => pending.push((ticket, job.submitted)),
-                // A signalled queue_full falls back to the per-job
-                // backoff loop; anything else is a final rejection.
+                Some(ticket) => pending.push((ticket, sent)),
                 None if retryable => {
-                    tally.retries += 1;
-                    let base = BACKOFF_BASE_MS + jitter.below(BACKOFF_BASE_MS);
-                    std::thread::sleep(Duration::from_millis(base));
-                    if let Some(ticket) =
-                        submit_one(&mut client, &mut tally, &mut jitter, job)
-                    {
-                        pending.push((ticket, job.submitted));
+                    if let Some(ticket) = retry_submit(&mut client, &mut tally, &mut jitter, item) {
+                        pending.push((ticket, sent));
                     }
                 }
                 None => {
@@ -425,19 +399,6 @@ fn drive_connection(args: &Args, jobs: &[usize], client_id: usize) -> Tally {
     }
     // Collection phase.
     for chunk in pending.chunks(batch) {
-        if batch == 1 {
-            let (ticket, submitted) = chunk[0];
-            match client.result_batch(vec![ticket], Some(args.timeout_ms)) {
-                Ok(responses) if responses.len() == 1 => {
-                    record_result(&mut tally, &responses[0], submitted);
-                }
-                Ok(_) | Err(_) => {
-                    eprintln!("ra-loadgen: result: ticket {ticket} got no answer");
-                    tally.transport_errors += 1;
-                }
-            }
-            continue;
-        }
         let tickets: Vec<u64> = chunk.iter().map(|&(ticket, _)| ticket).collect();
         match client.result_batch(tickets, Some(args.timeout_ms)) {
             Ok(responses) if responses.len() == chunk.len() => {

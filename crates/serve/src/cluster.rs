@@ -16,11 +16,13 @@
 //!   end — the relay decodes once at its edge, routes the enum, and
 //!   re-encodes per client codec. Forwards to backends ride the binary
 //!   codec; the client side keeps whatever it sniffed;
-//! * the batch verbs fan out as batches: `submit_batch` partitions its
-//!   items by ring owner and forwards one sub-batch per owner,
-//!   `status_batch`/`result_batch` group tickets by owning backend —
-//!   one round-trip per backend instead of one per item, with a
-//!   per-item retrying fallback when a sub-batch forward dies;
+//! * one request path per verb family: a single verb is a batch of
+//!   one. The submit routine groups items by ring owner, the ticket
+//!   routine (status/result/cancel) by owning backend — one round-trip
+//!   per backend instead of one per item, forwarded in the client's
+//!   own shape. Each routine retries in one attempt loop: items whose
+//!   forward died, whose ticket was lost, or whose owner went down are
+//!   grouped again against the current routable mask;
 //! * a probe loop drives one [`HealthMachine`] per backend
 //!   (Up/Suspect/Down, consecutive-failure thresholds, probe RTT),
 //!   emitting `node_up` / `node_down` obs events on transitions;
@@ -53,7 +55,7 @@
 //! run. The client observes exactly one terminal result per submitted
 //! job, bit-identical to what the dead node would have produced.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -480,6 +482,15 @@ impl Relay {
         ticket
     }
 
+    /// A snapshot of one relay ticket's entry.
+    fn ticket_entry(&self, ticket: u64) -> Option<TicketEntry> {
+        self.tickets
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&ticket)
+            .cloned()
+    }
+
     /// Feeds one probe (or forward) outcome into a node's machine and
     /// reacts to transitions: obs events, and failover on `WentDown`.
     fn record_probe(&self, node: usize, outcome: Result<Duration, ()>) {
@@ -595,19 +606,6 @@ impl Relay {
         let _ = self.obs.flush();
     }
 
-    /// Submits an entry's spec to `target` over a fresh short-lived
-    /// connection, returning the backend's ticket.
-    fn resubmit(&self, target: usize, entry: &TicketEntry) -> io::Result<u64> {
-        let items = vec![entry.item.clone()];
-        match self.resubmit_batch(target, items)?.pop() {
-            Some(Response::Submit(ok)) => Ok(ok.ticket),
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "resubmit response carried no ticket",
-            )),
-        }
-    }
-
     /// One batched re-submit to `target` over a fresh short-lived
     /// binary connection; one response per item, in order.
     fn resubmit_batch(
@@ -702,27 +700,15 @@ impl BackendPool {
     }
 }
 
-/// The local refusal a forward returns when `node`'s breaker is open.
-/// No socket was touched, so callers must not feed it to the health
-/// machine (see [`is_breaker_open`]).
-fn breaker_open_error() -> io::Error {
-    io::Error::new(io::ErrorKind::WouldBlock, "circuit breaker open")
-}
-
-/// Whether a forward error is the breaker's local refusal rather than
-/// a transport failure.
-fn is_breaker_open(err: &io::Error) -> bool {
-    err.kind() == io::ErrorKind::WouldBlock
-}
-
 /// Forwards one typed request to `node`, with the read deadline
 /// stretched to `read_deadline` (long-poll `result` calls must outlive
 /// the job they wait for). Invalidates the pooled connection on error.
 ///
 /// Every forward first asks the node's circuit breaker and reports its
 /// outcome back with the measured round-trip, so the breaker sees the
-/// real request stream (slow successes included) — an open breaker
-/// refuses locally with [`breaker_open_error`].
+/// real request stream (slow successes included). A transport failure
+/// also counts against the node's health machine; an open breaker
+/// refuses locally, touching no socket, and reports nothing.
 fn forward(
     relay: &Relay,
     pool: &mut BackendPool,
@@ -731,7 +717,10 @@ fn forward(
     read_deadline: Duration,
 ) -> io::Result<Response> {
     if !relay.breaker_admits(node) {
-        return Err(breaker_open_error());
+        return Err(io::Error::new(
+            io::ErrorKind::WouldBlock,
+            "circuit breaker open",
+        ));
     }
     let started = Instant::now();
     let outcome = (|| {
@@ -758,6 +747,7 @@ fn forward(
         }
         Err(err) => {
             relay.breaker_report(node, Err(()));
+            relay.record_probe(node, Err(()));
             // A desynchronized connection (timed-out long poll) cannot
             // be reused: a stale response would answer the wrong call.
             pool.invalidate(node);
@@ -800,47 +790,60 @@ enum TicketAction {
     Cancel,
 }
 
+impl TicketAction {
+    /// The backend request for one owner's `remote` tickets, in the
+    /// client's shape: the batch verb, or the single verb for the lone
+    /// ticket of a single-verb request (`cancel` has no batch verb).
+    fn request(&self, remote: Vec<u64>, batched: bool, wait_ms: u64) -> Request {
+        let (ticket, timeout_ms) = (remote[0], Some(wait_ms));
+        match (self, batched) {
+            (TicketAction::Status, true) => Request::StatusBatch { tickets: remote },
+            (TicketAction::Status, false) => Request::Status { ticket },
+            (TicketAction::Result { .. }, true) => Request::ResultBatch {
+                tickets: remote,
+                timeout_ms,
+            },
+            (TicketAction::Result { .. }, false) => Request::Result { ticket, timeout_ms },
+            (TicketAction::Cancel, _) => Request::Cancel { ticket },
+        }
+    }
+}
+
 /// Dispatches one typed relay request — the relay's counterpart of
 /// [`crate::wire::dispatch`]. Pure with respect to listener I/O (the
 /// pool does backend I/O), so tests drive it without sockets on the
-/// front side.
+/// front side. A single verb runs as a batch of one.
 pub fn handle_relay_request(
     relay: &Relay,
     pool: &mut BackendPool,
     request: &Request,
 ) -> Response {
     match request {
-        Request::Submit(item) => relay_submit(relay, pool, item, "submit"),
-        Request::SubmitBatch(items) => relay_submit_batch(relay, pool, items),
+        Request::Submit(item) => relay_submit(relay, pool, std::slice::from_ref(item), "submit"),
+        Request::SubmitBatch(items) => relay_submit(relay, pool, items, "submit_batch"),
         Request::Status { ticket } => {
-            relay_forward_ticket(relay, pool, *ticket, &TicketAction::Status, "status")
+            relay_tickets(relay, pool, &[*ticket], &TicketAction::Status, "status")
         }
         Request::StatusBatch { tickets } => {
-            relay_ticket_batch(relay, pool, tickets, &TicketAction::Status, "status_batch")
+            relay_tickets(relay, pool, tickets, &TicketAction::Status, "status_batch")
         }
-        Request::Result { ticket, timeout_ms } => relay_forward_ticket(
-            relay,
-            pool,
-            *ticket,
-            &TicketAction::Result {
+        Request::Result { ticket, timeout_ms } => {
+            let action = TicketAction::Result {
                 timeout_ms: *timeout_ms,
-            },
-            "result",
-        ),
+            };
+            relay_tickets(relay, pool, &[*ticket], &action, "result")
+        }
         Request::ResultBatch {
             tickets,
             timeout_ms,
-        } => relay_ticket_batch(
-            relay,
-            pool,
-            tickets,
-            &TicketAction::Result {
+        } => {
+            let action = TicketAction::Result {
                 timeout_ms: *timeout_ms,
-            },
-            "result_batch",
-        ),
+            };
+            relay_tickets(relay, pool, tickets, &action, "result_batch")
+        }
         Request::Cancel { ticket } => {
-            relay_forward_ticket(relay, pool, *ticket, &TicketAction::Cancel, "cancel")
+            relay_tickets(relay, pool, &[*ticket], &TicketAction::Cancel, "cancel")
         }
         Request::Stats => {
             // Mirror the backend: a stats poll is a sync point for the
@@ -864,55 +867,32 @@ pub fn handle_relay_request(
     }
 }
 
-/// The edge's half of a submit: canonicalize, count, and answer from
-/// the edge LRU when possible — shared by `submit` and the first pass
-/// of `submit_batch`.
-enum Prepared {
-    /// Decided without a backend hop (bad spec or edge hit).
-    Answered(Response),
-    /// Needs a ring hop: the canonical spec and its routing key.
-    Route { key: JobKey, canonical: String },
+/// Whether the client `verb` is a batch verb (`*_batch`), emitting its
+/// `wire_batch` event if so. Only batch verbs emit one and forward as
+/// sub-batches; a single verb's batch of one does neither.
+fn client_batch(relay: &Relay, verb: &str, items: usize) -> bool {
+    let batched = verb.ends_with("_batch");
+    if batched {
+        relay.obs.emit(|| Event::WireBatch {
+            verb: verb.to_owned(),
+            items: items as u64,
+        });
+    }
+    batched
 }
 
-fn prepare_submit(relay: &Relay, item: &SubmitItem, verb: &str) -> Prepared {
-    // Canonicalize at the edge: routing must hash the canonical form,
-    // and malformed specs should never cost a backend hop.
-    let spec: JobSpec = match item.spec.parse() {
-        Ok(spec) => spec,
-        Err(err) => {
-            return Prepared::Answered(Response::Error(
-                WireError::new(ErrorCode::BadSpec, verb).with_detail(err.to_string()),
-            ))
-        }
-    };
-    let key = spec.job_hash();
-    let canonical = spec.canonical();
-    relay.bump(|s| s.submitted += 1);
-
-    // Edge hit: answer without a backend hop, even mid-failover. A
-    // degraded (brownout) entry only answers submitters that accept
-    // degraded results themselves.
-    let edge_hit = {
-        let edge = relay.edge.lock().unwrap_or_else(|e| e.into_inner());
-        edge.hit(key, item_accepts_hop(item))
-    };
-    if edge_hit {
-        relay.bump(|s| s.edge_hits += 1);
-        let canonical_item = SubmitItem {
-            spec: canonical,
-            ..item.clone()
-        };
-        let ticket = relay.register_ticket(key, canonical_item, None, 0);
-        return Prepared::Answered(Response::Submit(SubmitOk {
-            ticket,
-            job: key.to_string(),
-            disposition: "cached".into(),
-            depth: 0,
-            node: None,
-            edge: true,
-        }));
+/// The client's reply once every item is answered: the batch, or the
+/// sole item of a single verb.
+fn client_reply(replies: Vec<Option<Response>>, batched: bool) -> Response {
+    let mut replies: Vec<Response> = replies
+        .into_iter()
+        .map(|reply| reply.expect("every item answered"))
+        .collect();
+    if batched {
+        Response::Batch(replies)
+    } else {
+        replies.pop().expect("a single verb has one item")
     }
-    Prepared::Route { key, canonical }
 }
 
 /// Whether a submit item's degradation contract admits a hop-fidelity
@@ -922,83 +902,148 @@ fn item_accepts_hop(item: &SubmitItem) -> bool {
         && !matches!(item.min_fidelity.as_deref(), Some(floor) if floor != Fidelity::Hop.name())
 }
 
-fn relay_submit(
+/// Forwards one owner's share of a client request and splits the reply
+/// per item. The request keeps the client's shape — a batch verb goes
+/// as one sub-batch, a single verb as itself — so the backend labels
+/// item errors with the verb the client sent. `None` when the forward
+/// failed in transit or came back in the wrong shape.
+fn forward_group(
     relay: &Relay,
     pool: &mut BackendPool,
-    item: &SubmitItem,
-    verb: &str,
-) -> Response {
-    match prepare_submit(relay, item, verb) {
-        Prepared::Answered(response) => response,
-        Prepared::Route { key, canonical } => {
-            submit_via_ring(relay, pool, key, &canonical, item, verb)
-        }
+    node: usize,
+    request: &Request,
+    batched: bool,
+    items: usize,
+    deadline: Duration,
+) -> Option<Vec<Response>> {
+    match (forward(relay, pool, node, request, deadline), batched) {
+        (Ok(Response::Batch(replies)), true) if replies.len() == items => Some(replies),
+        (Ok(reply), false) => Some(vec![reply]),
+        _ => None,
     }
 }
 
-/// Forwards one submit to the ring owner, with bounded jittered retries
-/// walking past nodes that fail mid-forward or whose breaker refuses.
-/// When every owner is down, saturated, or breaker-open, a shedable
-/// item is answered at the edge via [`edge_brownout`] instead of
-/// failing with `no_backend`.
-fn submit_via_ring(
+/// A submit item still waiting for an owner's answer: its index in the
+/// client request, its routing key, and the canonical item.
+type OpenSubmit = (usize, JobKey, SubmitItem);
+
+/// `submit` and `submit_batch` at the relay. Items are canonicalized
+/// at the edge; bad specs and edge-cache hits are answered locally, and
+/// the rest are grouped by ring owner, one forward per owner, in one
+/// attempt loop: items whose forward failed in transit are grouped
+/// again against the next routable mask after a jittered backoff. An
+/// item with no owner left, or refused by a saturated one, is answered
+/// at the edge via [`edge_brownout`] when it opted in, else with the
+/// error.
+fn relay_submit(
     relay: &Relay,
     pool: &mut BackendPool,
-    key: JobKey,
-    canonical: &str,
-    item: &SubmitItem,
+    items: &[SubmitItem],
     verb: &str,
 ) -> Response {
-    let canonical_item = SubmitItem {
-        spec: canonical.to_owned(),
-        ..item.clone()
-    };
-    let forward_request = Request::Submit(canonical_item.clone());
-    let mut jitter = Jitter::new(relay.config.seed ^ key.0);
+    let batched = client_batch(relay, verb, items.len());
+    let mut replies: Vec<Option<Response>> = vec![None; items.len()];
+    let mut open: Vec<OpenSubmit> = Vec::new();
+    for (index, item) in items.iter().enumerate() {
+        // Canonicalize at the edge: routing must hash the canonical form,
+        // and malformed specs should never cost a backend hop.
+        let spec: JobSpec = match item.spec.parse() {
+            Ok(spec) => spec,
+            Err(err) => {
+                let err = WireError::new(ErrorCode::BadSpec, verb).with_detail(err.to_string());
+                replies[index] = Some(Response::Error(err));
+                continue;
+            }
+        };
+        let key = spec.job_hash();
+        let canonical_item = SubmitItem {
+            spec: spec.canonical(),
+            ..item.clone()
+        };
+        relay.bump(|s| s.submitted += 1);
+
+        // Edge hit: answer without a backend hop, even mid-failover. A
+        // degraded (brownout) entry only answers submitters that accept
+        // degraded results themselves.
+        let edge_hit = {
+            let edge = relay.edge.lock().unwrap_or_else(|e| e.into_inner());
+            edge.hit(key, item_accepts_hop(item))
+        };
+        if !edge_hit {
+            open.push((index, key, canonical_item));
+            continue;
+        }
+        relay.bump(|s| s.edge_hits += 1);
+        replies[index] = Some(Response::Submit(SubmitOk {
+            ticket: relay.register_ticket(key, canonical_item, None, 0),
+            job: key.to_string(),
+            disposition: "cached".into(),
+            depth: 0,
+            node: None,
+            edge: true,
+        }));
+    }
+    let seed = open.first().map_or(0, |(_, key, _)| key.0);
+    let mut jitter = Jitter::new(relay.config.seed ^ seed);
     let attempts = relay.config.retry_budget.max(1);
     for attempt in 1..=attempts {
+        if open.is_empty() {
+            break;
+        }
         let routable = relay.routable_mask();
-        let Some(node) = relay.ring.route_live(key, &routable) else {
-            return edge_brownout(relay, key, &canonical_item)
-                .unwrap_or_else(|| no_backend(verb));
-        };
-        match forward(
-            relay,
-            pool,
-            node,
-            &forward_request,
-            relay.config.forward_deadline,
-        ) {
-            Ok(Response::Submit(ok)) => {
-                let ticket =
-                    relay.register_ticket(key, canonical_item, Some(node), ok.ticket);
-                return Response::Submit(SubmitOk {
-                    ticket,
-                    job: key.to_string(),
-                    disposition: ok.disposition,
-                    depth: ok.depth,
-                    node: Some(node as u64),
-                    edge: false,
-                });
-            }
-            // A saturated owner refused: answer shedable work degraded
-            // at the edge rather than bouncing it back to the client.
-            Ok(Response::Error(err)) if err.code == ErrorCode::QueueFull => {
-                return edge_brownout(relay, key, &canonical_item)
-                    .unwrap_or(Response::Error(err));
-            }
-            // Other refusals (bad spec, shutting down): the client owns
-            // that policy.
-            Ok(other) => return other,
-            Err(err) => {
-                if !is_breaker_open(&err) {
-                    relay.record_probe(node, Err(()));
-                }
-                backoff_sleep(relay, &mut jitter, attempt, attempts);
+        let mut by_owner: BTreeMap<usize, Vec<OpenSubmit>> = BTreeMap::new();
+        for (index, key, item) in open.drain(..) {
+            match relay.ring.route_live(key, &routable) {
+                Some(owner) => by_owner.entry(owner).or_default().push((index, key, item)),
+                None => replies[index] = Some(brownout_or(relay, key, &item, no_backend(verb))),
             }
         }
+        for (owner, group) in by_owner {
+            let request = if batched {
+                Request::SubmitBatch(group.iter().map(|(_, _, item)| item.clone()).collect())
+            } else {
+                Request::Submit(group[0].2.clone())
+            };
+            let deadline = relay.config.forward_deadline;
+            let sub = forward_group(relay, pool, owner, &request, batched, group.len(), deadline);
+            let Some(sub) = sub else {
+                open.extend(group);
+                continue;
+            };
+            for ((index, key, item), reply) in group.into_iter().zip(sub) {
+                replies[index] = Some(match reply {
+                    Response::Submit(ok) => Response::Submit(SubmitOk {
+                        ticket: relay.register_ticket(key, item, Some(owner), ok.ticket),
+                        job: key.to_string(),
+                        node: Some(owner as u64),
+                        edge: false,
+                        ..ok
+                    }),
+                    // A saturated owner refused: answer shedable work
+                    // degraded at the edge rather than bouncing it.
+                    Response::Error(err) if err.code == ErrorCode::QueueFull => {
+                        brownout_or(relay, key, &item, Response::Error(err))
+                    }
+                    // Other refusals (bad spec, shutting down): the
+                    // client owns that policy.
+                    other => other,
+                });
+            }
+        }
+        if !open.is_empty() {
+            backoff_sleep(relay, &mut jitter, attempt, attempts);
+        }
     }
-    edge_brownout(relay, key, &canonical_item).unwrap_or_else(|| no_backend(verb))
+    for (index, key, item) in open {
+        replies[index] = Some(brownout_or(relay, key, &item, no_backend(verb)));
+    }
+    client_reply(replies, batched)
+}
+
+/// The edge's answer for an item no owner would take: a brownout when
+/// the item admits one, else `refusal`.
+fn brownout_or(relay: &Relay, key: JobKey, item: &SubmitItem, refusal: Response) -> Response {
+    edge_brownout(relay, key, item).unwrap_or(refusal)
 }
 
 /// The relay edge's own brownout rung: when no owner can take a
@@ -1056,405 +1101,193 @@ fn edge_brownout(relay: &Relay, key: JobKey, item: &SubmitItem) -> Option<Respon
     }))
 }
 
-/// `submit_batch` at the relay: answer bad specs and edge hits locally,
-/// partition the rest by ring owner, and forward one sub-batch per
-/// owner. A sub-batch that dies in transit falls back to the retrying
-/// single-submit path per item, so one slow owner cannot fail the
-/// whole batch.
-fn relay_submit_batch(
-    relay: &Relay,
-    pool: &mut BackendPool,
-    items: &[SubmitItem],
-) -> Response {
-    relay.obs.emit(|| Event::WireBatch {
-        verb: "submit_batch".into(),
-        items: items.len() as u64,
-    });
-    let mut responses: Vec<Option<Response>> = vec![None; items.len()];
-    let mut routes: Vec<Option<(JobKey, String)>> = vec![None; items.len()];
-    let mut by_owner: HashMap<usize, Vec<usize>> = HashMap::new();
-    let routable = relay.routable_mask();
-    for (index, item) in items.iter().enumerate() {
-        match prepare_submit(relay, item, "submit_batch") {
-            Prepared::Answered(response) => responses[index] = Some(response),
-            Prepared::Route { key, canonical } => {
-                match relay.ring.route_live(key, &routable) {
-                    Some(owner) => {
-                        by_owner.entry(owner).or_default().push(index);
-                        routes[index] = Some((key, canonical));
-                    }
-                    None => {
-                        let canonical_item = SubmitItem {
-                            spec: canonical,
-                            ..item.clone()
-                        };
-                        responses[index] = Some(
-                            edge_brownout(relay, key, &canonical_item)
-                                .unwrap_or_else(|| no_backend("submit_batch")),
-                        );
-                    }
-                }
-            }
+/// Answers a ticket the relay edge owns — its result is (or was) in the
+/// edge LRU. `None` when the result was evicted between submit and
+/// collection; the caller re-drives the job on its ring owner.
+fn edge_ticket(relay: &Relay, ticket: u64, key: JobKey, action: &TicketAction) -> Option<Response> {
+    Some(match action {
+        TicketAction::Status => Response::Status {
+            state: "done".into(),
+        },
+        TicketAction::Cancel => Response::Cancel {
+            cancel: "already_done".into(),
+        },
+        TicketAction::Result { .. } => {
+            let cached = relay
+                .edge
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .get(key)?;
+            relay.bump(|s| s.edge_hits += 1);
+            relay
+                .tickets
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .remove(&ticket);
+            cached
         }
-    }
-    let mut owners: Vec<usize> = by_owner.keys().copied().collect();
-    owners.sort_unstable();
-    for owner in owners {
-        let indices = &by_owner[&owner];
-        let sub_batch = Request::SubmitBatch(
-            indices
-                .iter()
-                .map(|&index| {
-                    let (_, canonical) = routes[index].as_ref().expect("routed item");
-                    SubmitItem {
-                        spec: canonical.clone(),
-                        ..items[index].clone()
-                    }
-                })
-                .collect(),
-        );
-        let sub_responses = match forward(
-            relay,
-            pool,
-            owner,
-            &sub_batch,
-            relay.config.forward_deadline,
-        ) {
-            Ok(Response::Batch(sub)) if sub.len() == indices.len() => Some(sub),
-            Ok(_) => None,
-            Err(err) => {
-                if !is_breaker_open(&err) {
-                    relay.record_probe(owner, Err(()));
-                }
-                None
-            }
-        };
-        match sub_responses {
-            Some(sub) => {
-                for (&index, sub_response) in indices.iter().zip(sub) {
-                    let (key, canonical) = routes[index].clone().expect("routed item");
-                    responses[index] = Some(match sub_response {
-                        Response::Submit(ok) => {
-                            let canonical_item = SubmitItem {
-                                spec: canonical,
-                                ..items[index].clone()
-                            };
-                            let ticket = relay.register_ticket(
-                                key,
-                                canonical_item,
-                                Some(owner),
-                                ok.ticket,
-                            );
-                            Response::Submit(SubmitOk {
-                                ticket,
-                                job: key.to_string(),
-                                disposition: ok.disposition,
-                                depth: ok.depth,
-                                node: Some(owner as u64),
-                                edge: false,
-                            })
-                        }
-                        other => other,
-                    });
-                }
-            }
-            None => {
-                // The whole sub-batch failed in transit: re-drive each
-                // item through the retrying single-submit path, which
-                // walks the ring past the failed owner.
-                for &index in indices {
-                    let (key, canonical) = routes[index].clone().expect("routed item");
-                    responses[index] = Some(submit_via_ring(
-                        relay,
-                        pool,
-                        key,
-                        &canonical,
-                        &items[index],
-                        "submit_batch",
-                    ));
-                }
-            }
-        }
-    }
-    Response::Batch(
-        responses
-            .into_iter()
-            .map(|response| response.expect("every batch item answered"))
-            .collect(),
-    )
+    })
 }
 
-/// `status_batch` / `result_batch` at the relay: group the tickets by
-/// their live owning backend and forward one sub-batch per backend.
-/// Edge tickets, unknown tickets, dead owners, lost tickets, and
-/// failed sub-batches all take the single-ticket path, which answers
-/// locally or re-drives on the ring.
-fn relay_ticket_batch(
+/// A ticket item still waiting for a backend answer: its index in the
+/// client request, the relay ticket, and the ticket's entry.
+type OpenTicket = (usize, u64, TicketEntry);
+
+/// `status` / `result` / `cancel` and their batch verbs at the relay.
+/// Unknown and edge tickets are answered locally; the rest are grouped
+/// by owning backend, one forward per backend, in one attempt loop.
+/// Items whose forward failed in transit, whose ticket the backend
+/// lost, or whose owner died are re-homed by [`rehome`] at the start of
+/// the next attempt, after a jittered backoff.
+fn relay_tickets(
     relay: &Relay,
     pool: &mut BackendPool,
     tickets: &[u64],
     action: &TicketAction,
     verb: &str,
 ) -> Response {
-    relay.obs.emit(|| Event::WireBatch {
-        verb: verb.to_owned(),
-        items: tickets.len() as u64,
-    });
-    let mut responses: Vec<Option<Response>> = vec![None; tickets.len()];
-    // node -> (item index, relay ticket, backend ticket)
-    let mut by_backend: HashMap<usize, Vec<(usize, u64, u64)>> = HashMap::new();
+    let batched = client_batch(relay, verb, tickets.len());
+    let mut replies: Vec<Option<Response>> = vec![None; tickets.len()];
+    let mut open: Vec<OpenTicket> = Vec::new();
     for (index, &ticket) in tickets.iter().enumerate() {
-        let entry = {
-            let map = relay.tickets.lock().unwrap_or_else(|e| e.into_inner());
-            map.get(&ticket).cloned()
+        let Some(entry) = relay.ticket_entry(ticket) else {
+            replies[index] = Some(unknown_ticket(verb));
+            continue;
         };
-        match entry {
-            None => responses[index] = Some(unknown_ticket(verb)),
-            Some(entry) => match entry.backend {
-                Some(node) if relay.node_state(node).routes() => {
-                    by_backend
-                        .entry(node)
-                        .or_default()
-                        .push((index, ticket, entry.remote_ticket));
-                }
-                _ => {
-                    responses[index] =
-                        Some(relay_forward_ticket(relay, pool, ticket, action, verb));
-                }
-            },
-        }
-    }
-    let mut backends: Vec<usize> = by_backend.keys().copied().collect();
-    backends.sort_unstable();
-    for node in backends {
-        let group = &by_backend[&node];
-        let remote: Vec<u64> = group.iter().map(|&(_, _, remote)| remote).collect();
-        let (sub_batch, deadline) = match action {
-            TicketAction::Status => (
-                Request::StatusBatch { tickets: remote },
-                relay.config.forward_deadline,
-            ),
-            TicketAction::Result { timeout_ms } => {
-                // One whole-batch deadline, exactly the backend's own
-                // result_batch semantics.
-                let (wait_ms, deadline) = result_read_deadline(relay, *timeout_ms);
-                (
-                    Request::ResultBatch {
-                        tickets: remote,
-                        timeout_ms: Some(wait_ms),
-                    },
-                    deadline,
-                )
-            }
-            TicketAction::Cancel => {
-                // No cancel_batch verb exists; answer item by item.
-                for &(index, ticket, _) in group {
-                    responses[index] =
-                        Some(relay_forward_ticket(relay, pool, ticket, action, verb));
-                }
+        if entry.backend.is_none() {
+            if let Some(reply) = edge_ticket(relay, ticket, entry.key, action) {
+                replies[index] = Some(reply);
                 continue;
             }
-        };
-        let outcome = forward(relay, pool, node, &sub_batch, deadline);
-        match outcome {
-            Ok(Response::Batch(sub)) if sub.len() == group.len() => {
-                for (&(index, ticket, _), item_response) in group.iter().zip(sub) {
-                    if is_lost_ticket(&item_response) {
-                        // The backend restarted; re-drive this one.
-                        responses[index] =
-                            Some(relay_forward_ticket(relay, pool, ticket, action, verb));
-                        continue;
-                    }
-                    if matches!(action, TicketAction::Result { .. }) {
-                        let entry = {
-                            let map =
-                                relay.tickets.lock().unwrap_or_else(|e| e.into_inner());
-                            map.get(&ticket).cloned()
-                        };
-                        if let Some(entry) = entry {
-                            cache_terminal_result(relay, &entry, ticket, &item_response);
-                        }
-                    }
-                    responses[index] = Some(item_response);
-                }
-            }
-            other => {
-                if let Err(err) = &other {
-                    if !is_breaker_open(err) {
-                        relay.record_probe(node, Err(()));
-                    }
-                }
-                for &(index, ticket, _) in group {
-                    responses[index] =
-                        Some(relay_forward_ticket(relay, pool, ticket, action, verb));
-                }
-            }
         }
+        open.push((index, ticket, entry));
     }
-    Response::Batch(
-        responses
-            .into_iter()
-            .map(|response| response.expect("every batch item answered"))
-            .collect(),
-    )
-}
-
-/// status / result / cancel for one ticket: look the relay ticket up,
-/// forward to the owning backend, and on transport failure or a
-/// backend restart re-drive the job on the ring's live owner (the
-/// failover path).
-fn relay_forward_ticket(
-    relay: &Relay,
-    pool: &mut BackendPool,
-    ticket: u64,
-    action: &TicketAction,
-    verb: &str,
-) -> Response {
-    let entry = {
-        let tickets = relay.tickets.lock().unwrap_or_else(|e| e.into_inner());
-        tickets.get(&ticket).cloned()
+    let (wait_ms, deadline) = match action {
+        // One whole-request deadline per attempt, exactly the backend's
+        // own result_batch semantics.
+        TicketAction::Result { timeout_ms } => result_read_deadline(relay, *timeout_ms),
+        _ => (0, relay.config.forward_deadline),
     };
-    let Some(mut entry) = entry else {
-        return unknown_ticket(verb);
-    };
-
-    // Edge tickets: the result is (or was) in the edge LRU.
-    if entry.backend.is_none() {
-        match action {
-            TicketAction::Status => {
-                return Response::Status {
-                    state: "done".into(),
-                }
-            }
-            TicketAction::Cancel => {
-                return Response::Cancel {
-                    cancel: "already_done".into(),
-                }
-            }
-            TicketAction::Result { .. } => {
-                let cached = {
-                    let mut edge = relay.edge.lock().unwrap_or_else(|e| e.into_inner());
-                    edge.get(entry.key)
-                };
-                if let Some(response) = cached {
-                    relay.bump(|s| s.edge_hits += 1);
-                    relay
-                        .tickets
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .remove(&ticket);
-                    return response;
-                }
-                // Evicted between submit and result: fall through to a
-                // re-drive on the owning ring node.
-            }
-        }
-    }
-
-    let timeout_ms = match action {
-        TicketAction::Result { timeout_ms } => *timeout_ms,
-        _ => None,
-    };
-    let (wait_ms, read_deadline) = result_read_deadline(relay, timeout_ms);
+    let seed = open
+        .first()
+        .map_or(0, |(_, ticket, entry)| entry.key.0 ^ ticket);
+    let mut jitter = Jitter::new(relay.config.seed ^ seed);
     let attempts = relay.config.retry_budget.max(1) + 1;
-    let mut jitter = Jitter::new(relay.config.seed ^ entry.key.0 ^ ticket);
     for attempt in 1..=attempts {
-        // Ensure the job is owned by a live backend, re-submitting it
-        // if its owner died or restarted (exactly-once: the survivor
-        // memo dedups by JobKey whether this thread or the prober wins).
-        let node = match entry.backend {
-            Some(node) if relay.node_state(node).routes() => node,
-            _ => {
-                let alive = relay.alive_mask();
-                let Some(target) = relay.ring.route_live(entry.key, &alive) else {
-                    return no_backend(verb);
-                };
-                match relay.resubmit(target, &entry) {
-                    Ok(remote_ticket) => {
-                        relay.bump(|s| s.reroutes += 1);
-                        let from = entry.backend.map_or(u64::MAX, |n| n as u64);
-                        let job = entry.key.0;
-                        relay.obs.emit(|| Event::Reroute {
-                            job,
-                            from,
-                            to: target as u64,
-                        });
-                        entry.backend = Some(target);
-                        entry.remote_ticket = remote_ticket;
-                        entry.generation += 1;
-                        let mut tickets =
-                            relay.tickets.lock().unwrap_or_else(|e| e.into_inner());
-                        if let Some(live) = tickets.get_mut(&ticket) {
-                            *live = entry.clone();
-                        }
-                        target
-                    }
-                    Err(_) => {
-                        relay.record_probe(target, Err(()));
-                        backoff_sleep(relay, &mut jitter, attempt, attempts);
+        if open.is_empty() {
+            break;
+        }
+        let (by_backend, waiting) = rehome(relay, std::mem::take(&mut open), &mut replies, verb);
+        open = waiting;
+        for (node, group) in by_backend {
+            let remote: Vec<u64> = group.iter().map(|(_, _, e)| e.remote_ticket).collect();
+            let request = action.request(remote, batched, wait_ms);
+            let sub = forward_group(relay, pool, node, &request, batched, group.len(), deadline);
+            let Some(sub) = sub else {
+                for (index, ticket, entry) in group {
+                    // The prober may have moved the job already; if not,
+                    // force a re-route.
+                    let Some(mut live) = relay.ticket_entry(ticket) else {
+                        replies[index] = Some(unknown_ticket(verb));
                         continue;
+                    };
+                    if live.generation == entry.generation {
+                        live.backend = None;
                     }
+                    open.push((index, ticket, live));
                 }
-            }
-        };
-        let forward_request = match action {
-            TicketAction::Result { .. } => Request::Result {
-                ticket: entry.remote_ticket,
-                timeout_ms: Some(wait_ms),
-            },
-            TicketAction::Status => Request::Status {
-                ticket: entry.remote_ticket,
-            },
-            TicketAction::Cancel => Request::Cancel {
-                ticket: entry.remote_ticket,
-            },
-        };
-        let deadline = if matches!(action, TicketAction::Result { .. }) {
-            read_deadline
-        } else {
-            relay.config.forward_deadline
-        };
-        match forward(relay, pool, node, &forward_request, deadline) {
-            Ok(response) => {
-                if is_lost_ticket(&response) {
+                continue;
+            };
+            for ((index, ticket, mut entry), reply) in group.into_iter().zip(sub) {
+                if is_lost_ticket(&reply) {
                     // The backend restarted and lost its tickets; the
                     // journal replay may still be re-running the job.
                     // Re-submit (memo/coalescing dedups) and retry.
                     entry.backend = None;
-                    backoff_sleep(relay, &mut jitter, attempt, attempts);
+                    open.push((index, ticket, entry));
                     continue;
                 }
                 if matches!(action, TicketAction::Result { .. }) {
-                    cache_terminal_result(relay, &entry, ticket, &response);
+                    cache_terminal_result(relay, entry.key, ticket, &reply);
                 }
-                return response;
-            }
-            Err(err) => {
-                if !is_breaker_open(&err) {
-                    relay.record_probe(node, Err(()));
-                }
-                // The prober may have moved the job already; pick up
-                // its new home before re-driving it ourselves.
-                let latest = {
-                    let tickets = relay.tickets.lock().unwrap_or_else(|e| e.into_inner());
-                    tickets.get(&ticket).cloned()
-                };
-                match latest {
-                    Some(live) if live.generation > entry.generation => entry = live,
-                    Some(live) => {
-                        entry = live;
-                        entry.backend = None; // force a re-route
-                    }
-                    None => return unknown_ticket(verb),
-                }
-                backoff_sleep(relay, &mut jitter, attempt, attempts);
+                replies[index] = Some(reply);
             }
         }
+        if !open.is_empty() {
+            backoff_sleep(relay, &mut jitter, attempt, attempts);
+        }
     }
-    Response::Error(
-        WireError::new(ErrorCode::Unavailable, verb)
-            .with_detail("backends unreachable within the retry budget"),
-    )
+    for (index, _, _) in open {
+        replies[index] = Some(Response::Error(
+            WireError::new(ErrorCode::Unavailable, verb)
+                .with_detail("backends unreachable within the retry budget"),
+        ));
+    }
+    client_reply(replies, batched)
+}
+
+/// Groups the open items by live owning backend, first moving every
+/// item whose backend no longer routes (dead owner, lost ticket, failed
+/// forward, evicted edge entry) to the ring's live owner with one
+/// batched re-submit per survivor — exactly-once, because the
+/// survivor's memo dedups by `JobKey` whether this thread or the prober
+/// wins. Items nothing alive can own are answered `no_backend`; items
+/// whose re-submit failed are returned apart, for the next attempt.
+fn rehome(
+    relay: &Relay,
+    open: Vec<OpenTicket>,
+    replies: &mut [Option<Response>],
+    verb: &str,
+) -> (BTreeMap<usize, Vec<OpenTicket>>, Vec<OpenTicket>) {
+    let alive = relay.alive_mask();
+    let mut homed: BTreeMap<usize, Vec<OpenTicket>> = BTreeMap::new();
+    let mut by_target: BTreeMap<usize, Vec<OpenTicket>> = BTreeMap::new();
+    for item in open {
+        match item.2.backend {
+            Some(node) if alive[node] => homed.entry(node).or_default().push(item),
+            _ => match relay.ring.route_live(item.2.key, &alive) {
+                Some(target) => by_target.entry(target).or_default().push(item),
+                None => replies[item.0] = Some(no_backend(verb)),
+            },
+        }
+    }
+    let mut waiting = Vec::new();
+    for (target, group) in by_target {
+        let specs = group.iter().map(|(_, _, e)| e.item.clone()).collect();
+        let responses = match relay.resubmit_batch(target, specs) {
+            Ok(responses) if responses.len() == group.len() => responses,
+            _ => {
+                relay.record_probe(target, Err(()));
+                waiting.extend(group);
+                continue;
+            }
+        };
+        for ((index, ticket, mut entry), response) in group.into_iter().zip(responses) {
+            let Response::Submit(ok) = response else {
+                waiting.push((index, ticket, entry)); // refused (queue full)
+                continue;
+            };
+            relay.bump(|s| s.reroutes += 1);
+            let (job, from) = (entry.key.0, entry.backend.map_or(u64::MAX, |n| n as u64));
+            relay.obs.emit(|| Event::Reroute {
+                job,
+                from,
+                to: target as u64,
+            });
+            entry.backend = Some(target);
+            entry.remote_ticket = ok.ticket;
+            entry.generation += 1;
+            let mut tickets = relay.tickets.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some(live) = tickets.get_mut(&ticket) {
+                *live = entry.clone();
+            }
+            homed
+                .entry(target)
+                .or_default()
+                .push((index, ticket, entry));
+        }
+    }
+    (homed, waiting)
 }
 
 fn backoff_sleep(relay: &Relay, jitter: &mut Jitter, attempt: u32, attempts: u32) {
@@ -1470,12 +1303,7 @@ fn backoff_sleep(relay: &Relay, jitter: &mut Jitter, attempt: u32, attempts: u32
 /// consumed relay ticket is dropped). Only memoizable outcomes are
 /// cached: completed/cached results are deterministic; failures are
 /// not replicated so a transient fault cannot get pinned at the edge.
-fn cache_terminal_result(
-    relay: &Relay,
-    entry: &TicketEntry,
-    ticket: u64,
-    response: &Response,
-) {
+fn cache_terminal_result(relay: &Relay, key: JobKey, ticket: u64, response: &Response) {
     let Response::Outcome(ok) = response else {
         return;
     };
@@ -1487,7 +1315,7 @@ fn cache_terminal_result(
             matches!(body.fidelity.as_deref(), Some(rung) if rung != Fidelity::Reciprocal.name())
         });
         let mut edge = relay.edge.lock().unwrap_or_else(|e| e.into_inner());
-        edge.insert(entry.key, response.clone(), degraded);
+        edge.insert(key, response.clone(), degraded);
     }
     // The backend collected its ticket; ours is spent too.
     relay
@@ -1539,14 +1367,7 @@ fn relay_stats(relay: &Relay, pool: &mut BackendPool) -> Response {
             relay.config.forward_deadline,
         ) {
             Ok(Response::Report { json }) => json,
-            Ok(_) => {
-                unreachable.push(node as u64);
-                continue;
-            }
-            Err(err) => {
-                if !is_breaker_open(&err) {
-                    relay.record_probe(node, Err(()));
-                }
+            _ => {
                 unreachable.push(node as u64);
                 continue;
             }
@@ -1664,28 +1485,20 @@ fn relay_node_stats(relay: &Relay, pool: &mut BackendPool) -> Response {
         ];
         let mut reported = false;
         if state.routes() {
-            match forward(
+            if let Ok(Response::Report { json }) = forward(
                 relay,
                 pool,
                 node,
                 &Request::Stats,
                 relay.config.forward_deadline,
             ) {
-                Ok(Response::Report { json }) => {
-                    if let Ok(response) = Json::parse(&json) {
-                        for &field in PER_NODE {
-                            if let Some(v) = response.get(field).and_then(Json::as_u64) {
-                                fields.push((field, JsonField::Int(v)));
-                            }
+                if let Ok(response) = Json::parse(&json) {
+                    for &field in PER_NODE {
+                        if let Some(v) = response.get(field).and_then(Json::as_u64) {
+                            fields.push((field, JsonField::Int(v)));
                         }
-                        reported = true;
                     }
-                }
-                Ok(_) => {}
-                Err(err) => {
-                    if !is_breaker_open(&err) {
-                        relay.record_probe(node, Err(()));
-                    }
+                    reported = true;
                 }
             }
         }
@@ -2040,6 +1853,78 @@ mod tests {
             matches!(&strict, Response::Error(err) if err.code == ErrorCode::NoBackend),
             "a degraded edge entry must not satisfy a full-fidelity submit: {strict:?}"
         );
+    }
+
+    #[test]
+    fn a_saturated_owner_browns_out_consenting_batch_items_at_the_edge() {
+        // One worker, a queue of one: a long job runs, a second waits,
+        // and three consenting jobs fill the 4x overflow region, so the
+        // owner refuses the next consenting submit with queue_full.
+        let service = JobService::start(
+            ServeConfig {
+                workers: 1,
+                queue_capacity: 1,
+                background_upgrades: false,
+                ..ServeConfig::default()
+            },
+            ObsSink::disabled(),
+        )
+        .expect("service starts");
+        let b0 = WireServer::bind("127.0.0.1:0", service)
+            .expect("bind backend")
+            .spawn()
+            .expect("spawn backend");
+        let relay = relay_direct(&[b0.addr()], test_breaker());
+        let mut pool = BackendPool::new(&relay);
+        let mut call = |request: Request| handle_relay_request(&relay, &mut pool, &request);
+
+        let long = "target=4x4 app=water mode=fixed:10 instructions=100000 budget=1000000000";
+        let Response::Submit(running) = call(Request::Submit(SubmitItem::new(long))) else {
+            panic!("the long job must be admitted");
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while call(Request::Status {
+            ticket: running.ticket,
+        }) != (Response::Status {
+            state: "running".into(),
+        }) {
+            assert!(Instant::now() < deadline, "the long job never started");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let queued = call(Request::Submit(SubmitItem::new(format!("{SPEC} seed=1"))));
+        assert!(matches!(queued, Response::Submit(_)), "{queued:?}");
+        let rspec = "target=2x2 app=water mode=reciprocal instructions=40 budget=100000";
+        for seed in 2..5 {
+            let item = SubmitItem::new(format!("{rspec} seed={seed}")).allow_degraded(true);
+            let overflow = call(Request::Submit(item));
+            assert!(matches!(overflow, Response::Submit(_)), "{overflow:?}");
+        }
+
+        let item = SubmitItem::new(format!("{rspec} seed=9")).allow_degraded(true);
+        let Response::Batch(mut answers) = call(Request::SubmitBatch(vec![item])) else {
+            panic!("a batch answers with a batch");
+        };
+        let answer = answers.pop().expect("one item");
+        let Response::Submit(ok) = &answer else {
+            panic!("a consenting item refused by a saturated owner must brown out: {answer:?}");
+        };
+        assert_eq!(ok.disposition, "degraded");
+        assert!(ok.edge);
+        let outcome = call(Request::Result {
+            ticket: ok.ticket,
+            timeout_ms: Some(1_000),
+        });
+        let Response::Outcome(out) = &outcome else {
+            panic!("{outcome:?}");
+        };
+        let body = out.body.as_ref().expect("degraded answers carry a body");
+        assert_eq!(body.fidelity.as_deref(), Some("hop"));
+        assert_eq!(relay.stats().edge_brownouts, 1);
+
+        call(Request::Cancel {
+            ticket: running.ticket,
+        });
+        b0.stop();
     }
 
     #[test]
