@@ -18,9 +18,20 @@
 //!
 //! # Hot-path layout
 //!
-//! Per-VC state is stored struct-of-arrays (`vc_state`, `vc_out_port`, …)
-//! so the allocator scans touch dense, homogeneous arrays instead of
-//! chasing through per-VC structs, and all per-cycle temporaries of the
+//! Per-VC state is stored struct-of-arrays (`vc_buf`, `vc_out_port`, …),
+//! and the state of each input VC lives in per-port bitmasks ([`VcMask`],
+//! one `u64` word per 64 VCs, so the largest configuration of 192 VCs per
+//! port takes three words): `nonempty` (the buffer holds a flit), `routed`
+//! (route computed, waiting for an output VC) and `active` (output VC
+//! held). A VC in neither `routed` nor `active` is idle. The masks are
+//! written only where a buffer is pushed or popped or a VC changes state,
+//! and each allocator stage walks only the set bits it cares about:
+//! route computation walks idle non-empty VCs, VC allocation walks
+//! `routed` in its round-robin order, switch allocation nominates from
+//! `active & nonempty` and grants each output from a bitmask of the input
+//! ports requesting it. Under typical traffic a live router holds one or
+//! two occupied VCs, so a step costs a few word operations per port
+//! instead of a scan over every VC. All per-cycle temporaries of the
 //! switch allocator live in scratch vectors owned by the router — the
 //! steady-state step path performs **zero heap allocations** (enforced by
 //! the counting-allocator test in `tests/no_alloc.rs`).
@@ -47,19 +58,64 @@ use crate::stats::FaultStats;
 use crate::topology::TopologyMap;
 use crate::wire::{Credit, Wire, Wires};
 
-/// Sentinel for "no input port / no VC" in the allocator scratch tables and
-/// the output-VC owner table.
+/// Sentinel for "no input VC" in the output-VC owner table.
 const NONE_IDX: u32 = u32::MAX;
 
-/// State of an input virtual channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VcState {
-    /// Empty or waiting for a head flit to reach the buffer front.
-    Idle,
+/// One word of an input port's VC masks: bit `b` of word `w` is VC
+/// `64 * w + b`. `routed` and `active` are disjoint; a VC in neither is
+/// idle (empty, or waiting for route computation).
+#[derive(Debug, Clone, Copy, Default)]
+struct VcMask {
+    /// The VC buffer holds at least one flit.
+    nonempty: u64,
     /// Route computed; waiting for an output VC.
-    Routed,
+    routed: u64,
     /// Output VC allocated; flits may traverse the switch.
-    Active,
+    active: u64,
+}
+
+/// Word-granular round-robin walk over a bitmap of `words` words, starting
+/// at bit `start`: yields `(word, keep)` pairs covering the bits from
+/// `start` up, then every following word (wrapping), and last the bits of
+/// the start word below `start`. Set bits visited in that order are the
+/// bits of a `(start + k) % (64 * words)` scan.
+struct RotatedWords {
+    words: u32,
+    first: u32,
+    below_start: u64,
+    k: u32,
+}
+
+fn rotated_words(words: u32, start: u32) -> RotatedWords {
+    RotatedWords {
+        words,
+        first: start / 64,
+        below_start: (1u64 << (start % 64)) - 1,
+        k: 0,
+    }
+}
+
+impl Iterator for RotatedWords {
+    type Item = (usize, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, u64)> {
+        let k = self.k;
+        if k > self.words {
+            return None;
+        }
+        self.k += 1;
+        let w = self.first + k;
+        let w = if w >= self.words { w - self.words } else { w };
+        let keep = if k == 0 {
+            !self.below_start
+        } else if k == self.words {
+            self.below_start
+        } else {
+            !0
+        };
+        Some((w as usize, keep))
+    }
 }
 
 /// A packet waiting in a node interface source queue.
@@ -119,6 +175,8 @@ pub struct Router {
     vnets: u32,
     vcs_per_vnet: u32,
     total_vcs: u32,
+    /// Mask words per input port: `total_vcs.div_ceil(64)`.
+    mask_words: u32,
     vc_depth: u32,
     routing: Routing,
     torus: bool,
@@ -126,7 +184,6 @@ pub struct Router {
     /// Input VC buffers. Capacity is reserved to `vc_depth` up front and
     /// occupancy never exceeds it, so pushes never reallocate.
     vc_buf: Vec<VecDeque<Flit>>,
-    vc_state: Vec<VcState>,
     vc_out_port: Vec<u32>,
     vc_out_vc: Vec<u32>,
     /// Dateline class the packet will use on the next link.
@@ -136,6 +193,8 @@ pub struct Router {
     /// Flattened input-VC index owning each output VC ([`NONE_IDX`] = free).
     ovc_owner: Vec<u32>,
     // --- per-port state ---
+    /// VC state masks, indexed `port * mask_words + vc / 64`.
+    vc_mask: Vec<VcMask>,
     out_staging: Vec<Option<Flit>>,
     credit_staging: Vec<Option<Credit>>,
     ni: Vec<LocalIface>,
@@ -143,11 +202,12 @@ pub struct Router {
     sa_vc_ptr: Vec<u32>,
     sa_port_ptr: Vec<u32>,
     // --- allocator scratch, reused every cycle (never reallocated) ---
-    /// Per input port: the nominated `(vc, out_port)`, `vc == NONE_IDX`
-    /// meaning no nomination.
-    sa_candidate: Vec<(u32, u32)>,
-    /// Per output port: the granted input port (`NONE_IDX` = none).
-    sa_granted: Vec<u32>,
+    /// Per input port: the VC it nominated this cycle (valid only for the
+    /// ports set in `sa_requests`).
+    sa_candidate: Vec<u32>,
+    /// Per output port: bitmask of the input ports requesting it this
+    /// cycle. All zero between cycles: the grant loop takes each word.
+    sa_requests: Vec<u32>,
     // --- activity bookkeeping (clock gating) ---
     /// Flits currently buffered in input VCs.
     buffered: u32,
@@ -191,6 +251,7 @@ impl Router {
         let locals = topo.concentration();
         let vnets = MessageClass::COUNT as u32;
         let total_vcs = vnets * cfg.vcs_per_vnet;
+        let mask_words = total_vcs.div_ceil(64);
         let n_vcs = (ports * total_vcs) as usize;
         let mut rng = Pcg32::new(seed, u64::from(id) * 2 + 1);
         let fault = FaultState::for_router(&cfg.faults, id, topo, cfg.seed);
@@ -211,26 +272,27 @@ impl Router {
             vnets,
             vcs_per_vnet: cfg.vcs_per_vnet,
             total_vcs,
+            mask_words,
             vc_depth: cfg.vc_depth,
             routing: cfg.routing,
             torus: matches!(cfg.topology, TopologyKind::Torus),
             vc_buf: (0..n_vcs)
                 .map(|_| VecDeque::with_capacity(cfg.vc_depth as usize))
                 .collect(),
-            vc_state: vec![VcState::Idle; n_vcs],
             vc_out_port: vec![0; n_vcs],
             vc_out_vc: vec![0; n_vcs],
             vc_next_class: vec![0; n_vcs],
             ovc_credits: vec![cfg.vc_depth; n_vcs],
             ovc_owner: vec![NONE_IDX; n_vcs],
+            vc_mask: vec![VcMask::default(); (ports * mask_words) as usize],
             out_staging: vec![None; ports as usize],
             credit_staging: vec![None; ports as usize],
             ni,
             va_ptr: 0,
             sa_vc_ptr: vec![0; ports as usize],
             sa_port_ptr: vec![0; ports as usize],
-            sa_candidate: vec![(NONE_IDX, 0); ports as usize],
-            sa_granted: vec![NONE_IDX; ports as usize],
+            sa_candidate: vec![0; ports as usize],
+            sa_requests: vec![0; ports as usize],
             buffered: 0,
             ni_work: 0,
             staged: 0,
@@ -264,6 +326,39 @@ impl Router {
     #[inline]
     fn ivc_index(&self, port: u32, vc: u32) -> usize {
         (port * self.total_vcs + vc) as usize
+    }
+
+    /// The mask word index and bit of input VC `(port, vc)`.
+    #[inline]
+    fn mask_bit(&self, port: u32, vc: u32) -> (usize, u64) {
+        ((port * self.mask_words + vc / 64) as usize, 1 << (vc % 64))
+    }
+
+    /// Appends `flit` to input VC `(port, vc)`, setting its `nonempty` bit
+    /// and counting the buffer write.
+    #[inline]
+    fn push_flit(&mut self, port: u32, vc: u32, flit: Flit) {
+        let idx = self.ivc_index(port, vc);
+        self.vc_buf[idx].push_back(flit);
+        let (w, bit) = self.mask_bit(port, vc);
+        self.vc_mask[w].nonempty |= bit;
+        self.buffered += 1;
+        self.stats.buffer_writes += 1;
+    }
+
+    /// Removes the front flit of input VC `(port, vc)`, clearing its
+    /// `nonempty` bit when the buffer drains. Counts no buffer read: the
+    /// caller decides whether the removal is a switch traversal.
+    #[inline]
+    fn pop_flit(&mut self, port: u32, vc: u32) -> Option<Flit> {
+        let idx = self.ivc_index(port, vc);
+        let flit = self.vc_buf[idx].pop_front()?;
+        if self.vc_buf[idx].is_empty() {
+            let (w, bit) = self.mask_bit(port, vc);
+            self.vc_mask[w].nonempty &= !bit;
+        }
+        self.buffered -= 1;
+        Some(flit)
     }
 
     /// Queues a packet at the node interface of `local` port.
@@ -371,8 +466,9 @@ impl Router {
     }
 
     /// Cross-checks this router's internal bookkeeping: credit counts stay
-    /// within buffer depth, buffers stay within depth, every owned output
-    /// VC points at an active input VC, and the clock-gating work counters
+    /// within buffer depth, buffers stay within depth, the VC masks agree
+    /// with the buffers and with each other, output-VC ownership and active
+    /// input VCs point at each other, and the clock-gating work counters
     /// agree with the state they summarize.
     pub(crate) fn audit(&self) -> Result<(), String> {
         for port in 0..self.ports {
@@ -380,38 +476,74 @@ impl Router {
                 let idx = self.ivc_index(port, vc);
                 if self.ovc_credits[idx] > self.vc_depth {
                     return Err(format!(
-                        "router {}: output vc ({port},{vc}) holds {} credits, depth {}",
-                        self.id, self.ovc_credits[idx], self.vc_depth
+                        "output vc ({port},{vc}) holds {} credits, depth {}",
+                        self.ovc_credits[idx], self.vc_depth
                     ));
                 }
                 let owner = self.ovc_owner[idx];
                 if owner != NONE_IDX {
-                    match self.vc_state.get(owner as usize) {
-                        Some(VcState::Active) => {}
-                        _ => {
-                            return Err(format!(
-                                "router {}: output vc ({port},{vc}) owned by \
-                                 non-active input vc {owner}",
-                                self.id
-                            ));
-                        }
+                    let in_port = owner / self.total_vcs;
+                    let owner_active = in_port < self.ports && {
+                        let (w, bit) = self.mask_bit(in_port, owner % self.total_vcs);
+                        self.vc_mask[w].active & bit != 0
+                    };
+                    if !owner_active
+                        || self.vc_out_port[owner as usize] != port
+                        || self.vc_out_vc[owner as usize] != vc
+                    {
+                        return Err(format!(
+                            "output vc ({port},{vc}) owned by input vc {owner}, \
+                             which is not active towards it"
+                        ));
                     }
+                }
+                let (w, bit) = self.mask_bit(port, vc);
+                let m = self.vc_mask[w];
+                let front = self.vc_buf[idx].front();
+                let mask_error = if (m.nonempty & bit != 0) != front.is_some() {
+                    Some("nonempty bit disagrees with the buffer")
+                } else if m.routed & m.active & bit != 0 {
+                    Some("both routed and active")
+                } else if m.routed & bit != 0 && !front.is_some_and(|f| f.kind.is_head()) {
+                    Some("routed without a head flit at the front")
+                } else if m.active & bit != 0 {
+                    let out_idx = self.ivc_index(self.vc_out_port[idx], self.vc_out_vc[idx]);
+                    (self.ovc_owner.get(out_idx) != Some(&(idx as u32)))
+                        .then_some("active without owning its output vc")
+                } else {
+                    None
+                };
+                if let Some(what) = mask_error {
+                    return Err(format!("input vc ({port},{vc}) {what}"));
                 }
                 if self.vc_buf[idx].len() > self.vc_depth as usize {
                     return Err(format!(
-                        "router {}: input vc ({port},{vc}) buffers {} flits, depth {}",
-                        self.id,
+                        "input vc ({port},{vc}) buffers {} flits, depth {}",
                         self.vc_buf[idx].len(),
                         self.vc_depth
                     ));
                 }
             }
         }
+        let used = u64::MAX >> (64 * self.mask_words - self.total_vcs);
+        for (w, m) in self.vc_mask.iter().enumerate() {
+            let valid = if (w as u32 + 1).is_multiple_of(self.mask_words) {
+                used
+            } else {
+                !0
+            };
+            if (m.nonempty | m.routed | m.active) & !valid != 0 {
+                return Err(format!(
+                    "vc mask word {w} has bits beyond {} vcs",
+                    self.total_vcs
+                ));
+            }
+        }
         let buffered: usize = self.vc_buf.iter().map(VecDeque::len).sum();
         if buffered != self.buffered as usize {
             return Err(format!(
-                "router {}: buffered-flit counter {} disagrees with buffers ({buffered})",
-                self.id, self.buffered
+                "buffered-flit counter {} disagrees with buffers ({buffered})",
+                self.buffered
             ));
         }
         let ni_work: usize = self
@@ -424,16 +556,16 @@ impl Router {
             .sum();
         if ni_work != self.ni_work as usize {
             return Err(format!(
-                "router {}: NI work counter {} disagrees with backlog ({ni_work})",
-                self.id, self.ni_work
+                "NI work counter {} disagrees with backlog ({ni_work})",
+                self.ni_work
             ));
         }
         let staged = self.out_staging.iter().flatten().count()
             + self.credit_staging.iter().flatten().count();
         if staged != self.staged as usize {
             return Err(format!(
-                "router {}: staging counter {} disagrees with staged output ({staged})",
-                self.id, self.staged
+                "staging counter {} disagrees with staged output ({staged})",
+                self.staged
             ));
         }
         Ok(())
@@ -577,7 +709,8 @@ impl Router {
             if let Some((src_router, src_out_port)) = topo.link_src(self.id, port) {
                 let wire = &wires.flits[wires.index(src_router, src_out_port)];
                 if let Some(flit) = wire.read(now) {
-                    let idx = self.ivc_index(port, u32::from(flit.vc));
+                    let vc = u32::from(flit.vc);
+                    let idx = self.ivc_index(port, vc);
                     let depth = self.vc_depth as usize;
                     if self.vc_buf[idx].len() >= depth {
                         self.poison(format!(
@@ -586,9 +719,7 @@ impl Router {
                         ));
                         continue;
                     }
-                    self.vc_buf[idx].push_back(flit);
-                    self.buffered += 1;
-                    self.stats.buffer_writes += 1;
+                    self.push_flit(port, vc, flit);
                     self.stats.active = true;
                 }
             }
@@ -612,9 +743,7 @@ impl Router {
                         let mut flit = inj.template;
                         flit.kind = kind_at(inj.sent, inj.total);
                         flit.vc = inj.vc as u8;
-                        self.vc_buf[idx].push_back(flit);
-                        self.buffered += 1;
-                        self.stats.buffer_writes += 1;
+                        self.push_flit(local, inj.vc, flit);
                         inj.sent += 1;
                         if inj.sent == inj.total {
                             self.ni[li].cur[v] = None;
@@ -633,8 +762,9 @@ impl Router {
                     // Find a free local input VC in this vnet's band.
                     let base = v as u32 * self.vcs_per_vnet;
                     let free = (base..base + self.vcs_per_vnet).find(|&vc| {
-                        let idx = self.ivc_index(local, vc);
-                        self.vc_state[idx] == VcState::Idle && self.vc_buf[idx].is_empty()
+                        let (w, bit) = self.mask_bit(local, vc);
+                        let m = self.vc_mask[w];
+                        (m.nonempty | m.routed | m.active) & bit == 0
                     });
                     if let Some(vc) = free {
                         let Some(pending) = self.ni[li].queues[v].pop_front() else {
@@ -665,12 +795,9 @@ impl Router {
                             total: pending.flits,
                             template,
                         };
-                        let idx = self.ivc_index(local, vc);
                         let mut flit = template;
                         flit.kind = kind_at(0, inj.total);
-                        self.vc_buf[idx].push_back(flit);
-                        self.buffered += 1;
-                        self.stats.buffer_writes += 1;
+                        self.push_flit(local, vc, flit);
                         inj.sent = 1;
                         // The queue slot (counted in `ni_work`) becomes an
                         // active injection (also counted) unless the packet
@@ -694,146 +821,155 @@ impl Router {
     /// Switch allocation + switch traversal: one grant per input port, one
     /// per output port, round-robin priorities, traversal in the same cycle.
     ///
-    /// All temporaries live in the router-owned scratch tables
-    /// (`sa_candidate`, `sa_granted`) — this is the per-cycle hot path and
-    /// it must not allocate.
+    /// Each input port nominates the first `active & nonempty` VC at or
+    /// after its `sa_vc_ptr` whose output has a credit, and sets its bit in
+    /// the request mask of that output. Each requested output then grants
+    /// the first requesting input port at or after its `sa_port_ptr`; an
+    /// input port nominates a single `(vc, out)` pair, so it wins at most
+    /// one output. Outputs nobody requested cost nothing. All temporaries
+    /// live in the router-owned scratch tables — this is the per-cycle hot
+    /// path and it must not allocate.
     fn switch_allocate_and_traverse(&mut self, now: u64) {
-        // Stage 1: each input port nominates one ready VC.
-        self.sa_candidate.fill((NONE_IDX, 0));
+        let mut requested_outs = 0u32;
         for port in 0..self.ports {
-            let start = self.sa_vc_ptr[port as usize];
-            for k in 0..self.total_vcs {
-                let vc = (start + k) % self.total_vcs;
-                let idx = self.ivc_index(port, vc);
-                if self.vc_state[idx] != VcState::Active || self.vc_buf[idx].is_empty() {
-                    continue;
-                }
-                let out_port = self.vc_out_port[idx];
-                let is_local_out = out_port < self.locals;
-                if !is_local_out
-                    && self.ovc_credits[self.ivc_index(out_port, self.vc_out_vc[idx])] == 0
-                {
-                    continue;
-                }
-                self.sa_candidate[port as usize] = (vc, out_port);
-                break;
-            }
-        }
-        // Stage 2: each output port grants one nominating input port.
-        self.sa_granted.fill(NONE_IDX);
-        for out_port in 0..self.ports {
-            let start = self.sa_port_ptr[out_port as usize];
-            for k in 0..self.ports {
-                let p = (start + k) % self.ports;
-                let (vc, req_out) = self.sa_candidate[p as usize];
-                if vc != NONE_IDX && req_out == out_port {
-                    // An input port can win at most one output because it
-                    // nominated a single (vc, out) pair.
-                    self.sa_granted[out_port as usize] = p;
-                    self.sa_port_ptr[out_port as usize] = (p + 1) % self.ports;
-                    break;
+            let base = (port * self.mask_words) as usize;
+            'nominate: for (w, keep) in
+                rotated_words(self.mask_words, self.sa_vc_ptr[port as usize])
+            {
+                let m = self.vc_mask[base + w];
+                let mut ready = m.active & m.nonempty & keep;
+                while ready != 0 {
+                    let vc = w as u32 * 64 + ready.trailing_zeros();
+                    ready &= ready - 1;
+                    let idx = self.ivc_index(port, vc);
+                    let out_port = self.vc_out_port[idx];
+                    if out_port >= self.locals
+                        && self.ovc_credits[self.ivc_index(out_port, self.vc_out_vc[idx])] == 0
+                    {
+                        continue;
+                    }
+                    self.sa_candidate[port as usize] = vc;
+                    self.sa_requests[out_port as usize] |= 1 << port;
+                    requested_outs |= 1 << out_port;
+                    break 'nominate;
                 }
             }
         }
-        // Traversal.
-        for out_port in 0..self.ports {
-            let in_port = self.sa_granted[out_port as usize];
-            if in_port == NONE_IDX {
-                continue;
-            }
-            let (vc, _) = self.sa_candidate[in_port as usize];
-            if vc == NONE_IDX {
-                self.poison(format!(
-                    "switch grant without a nomination on router {} in-port {in_port}",
-                    self.id
-                ));
-                continue;
-            }
-            self.sa_vc_ptr[in_port as usize] = (vc + 1) % self.total_vcs;
-            let in_idx = self.ivc_index(in_port, vc);
-            let (out_vc, next_class) = (self.vc_out_vc[in_idx], self.vc_next_class[in_idx]);
-            let Some(mut flit) = self.vc_buf[in_idx].pop_front() else {
-                self.poison(format!(
-                    "switch traversal from an empty VC on router {} port {in_port} vc {vc}",
-                    self.id
-                ));
-                continue;
-            };
-            self.buffered -= 1;
-            self.stats.buffer_reads += 1;
-            self.stats.sa_grants += 1;
-            flit.vc = out_vc as u8;
-            flit.class_bit = next_class;
-            let is_local_out = out_port < self.locals;
-            let out_idx = self.ivc_index(out_port, out_vc);
-            if flit.kind.is_tail() {
-                self.vc_state[in_idx] = VcState::Idle;
-                self.ovc_owner[out_idx] = NONE_IDX;
-            }
-            if is_local_out {
-                if flit.kind.is_tail() {
-                    self.delivered.push((flit.pkt, now));
-                }
-            } else {
-                if self.ovc_credits[out_idx] == 0 {
-                    self.poison(format!(
-                        "switch traversal without a credit on router {} out-port {out_port} \
-                         vc {out_vc}",
-                        self.id
-                    ));
-                } else {
-                    self.ovc_credits[out_idx] -= 1;
-                }
-                debug_assert!(self.out_staging[out_port as usize].is_none());
-                self.out_staging[out_port as usize] = Some(flit);
-                self.staged += 1;
-                self.stats.link_flits += 1;
-            }
-            self.stats.flits_out[out_port as usize] += 1;
-            self.stats.active = true;
-            // Return a credit upstream (links only; the NI watches buffer
-            // occupancy directly).
-            if in_port >= self.locals {
-                debug_assert!(self.credit_staging[in_port as usize].is_none());
-                self.credit_staging[in_port as usize] = Some(vc as u8);
-                self.staged += 1;
-            }
+        // Grants depend only on the nominations and each output's own
+        // pointer, so granting and traversing output by output (ascending)
+        // matches granting every output first.
+        while requested_outs != 0 {
+            let out_port = requested_outs.trailing_zeros();
+            requested_outs &= requested_outs - 1;
+            let requests = std::mem::take(&mut self.sa_requests[out_port as usize]);
+            let from_ptr = requests & (!0u32 << self.sa_port_ptr[out_port as usize]);
+            let in_port = if from_ptr != 0 { from_ptr } else { requests }.trailing_zeros();
+            self.sa_port_ptr[out_port as usize] = (in_port + 1) % self.ports;
+            self.traverse(in_port, out_port, now);
         }
     }
 
-    /// VC allocation: input VCs in `Routed` state claim a free output VC.
-    fn vc_allocate(&mut self) {
-        let n = (self.ports * self.total_vcs) as usize;
-        let start = self.va_ptr as usize;
-        for k in 0..n {
-            let idx = (start + k) % n;
-            if self.vc_state[idx] != VcState::Routed {
-                continue;
+    /// Switch traversal of the front flit of `in_port`'s nominated VC to
+    /// `out_port`, which granted it.
+    fn traverse(&mut self, in_port: u32, out_port: u32, now: u64) {
+        let vc = self.sa_candidate[in_port as usize];
+        self.sa_vc_ptr[in_port as usize] = (vc + 1) % self.total_vcs;
+        let in_idx = self.ivc_index(in_port, vc);
+        let (out_vc, next_class) = (self.vc_out_vc[in_idx], self.vc_next_class[in_idx]);
+        let Some(mut flit) = self.pop_flit(in_port, vc) else {
+            self.poison(format!(
+                "switch traversal from an empty VC on router {} port {in_port} vc {vc}",
+                self.id
+            ));
+            return;
+        };
+        self.stats.buffer_reads += 1;
+        self.stats.sa_grants += 1;
+        flit.vc = out_vc as u8;
+        flit.class_bit = next_class;
+        let is_local_out = out_port < self.locals;
+        let out_idx = self.ivc_index(out_port, out_vc);
+        if flit.kind.is_tail() {
+            let (w, bit) = self.mask_bit(in_port, vc);
+            self.vc_mask[w].active &= !bit;
+            self.ovc_owner[out_idx] = NONE_IDX;
+        }
+        if is_local_out {
+            if flit.kind.is_tail() {
+                self.delivered.push((flit.pkt, now));
             }
-            let Some(&head) = self.vc_buf[idx].front() else {
+        } else {
+            if self.ovc_credits[out_idx] == 0 {
                 self.poison(format!(
-                    "routed VC lost its head flit on router {} (vc index {idx})",
+                    "switch traversal without a credit on router {} out-port {out_port} \
+                     vc {out_vc}",
                     self.id
                 ));
-                self.vc_state[idx] = VcState::Idle;
-                continue;
-            };
-            debug_assert!(head.kind.is_head());
-            let (out_port, vnet, next_class, route_hint) = (
-                self.vc_out_port[idx],
-                u32::from(head.vnet),
-                self.vc_next_class[idx],
-                head.route_hint,
-            );
-            if let Some(out_vc) = self.pick_output_vc(out_port, vnet, next_class, route_hint) {
-                let out_idx = self.ivc_index(out_port, out_vc);
-                self.ovc_owner[out_idx] = idx as u32;
-                self.vc_out_vc[idx] = out_vc;
-                self.vc_state[idx] = VcState::Active;
-                self.stats.vc_allocs += 1;
+            } else {
+                self.ovc_credits[out_idx] -= 1;
+            }
+            debug_assert!(self.out_staging[out_port as usize].is_none());
+            self.out_staging[out_port as usize] = Some(flit);
+            self.staged += 1;
+            self.stats.link_flits += 1;
+        }
+        self.stats.flits_out[out_port as usize] += 1;
+        self.stats.active = true;
+        // Return a credit upstream (links only; the NI watches buffer
+        // occupancy directly).
+        if in_port >= self.locals {
+            debug_assert!(self.credit_staging[in_port as usize].is_none());
+            self.credit_staging[in_port as usize] = Some(vc as u8);
+            self.staged += 1;
+        }
+    }
+
+    /// VC allocation: routed input VCs claim a free output VC, visited in
+    /// the round-robin order of a `(va_ptr + k) % (ports * total_vcs)`
+    /// scan over flattened `port * total_vcs + vc` indices.
+    fn vc_allocate(&mut self) {
+        let (tv, words) = (self.total_vcs, self.mask_words);
+        let start = (self.va_ptr / tv) * words * 64 + self.va_ptr % tv;
+        for (w, keep) in rotated_words(self.ports * words, start) {
+            let mut routed = self.vc_mask[w].routed & keep;
+            let port = w as u32 / words;
+            let vc_base = (w as u32 % words) * 64;
+            while routed != 0 {
+                let vc = vc_base + routed.trailing_zeros();
+                routed &= routed - 1;
+                self.allocate_output_vc(port, vc);
             }
         }
-        self.va_ptr = (self.va_ptr + 1) % n as u32;
+        self.va_ptr = (self.va_ptr + 1) % (self.ports * tv);
+    }
+
+    /// Tries to give routed input VC `(port, vc)` a free output VC.
+    fn allocate_output_vc(&mut self, port: u32, vc: u32) {
+        let idx = self.ivc_index(port, vc);
+        let (w, bit) = self.mask_bit(port, vc);
+        let Some(&head) = self.vc_buf[idx].front() else {
+            self.poison(format!(
+                "routed VC lost its head flit on router {} (vc index {idx})",
+                self.id
+            ));
+            self.vc_mask[w].routed &= !bit;
+            return;
+        };
+        debug_assert!(head.kind.is_head());
+        let (out_port, vnet, next_class, route_hint) = (
+            self.vc_out_port[idx],
+            u32::from(head.vnet),
+            self.vc_next_class[idx],
+            head.route_hint,
+        );
+        if let Some(out_vc) = self.pick_output_vc(out_port, vnet, next_class, route_hint) {
+            let out_idx = self.ivc_index(out_port, out_vc);
+            self.ovc_owner[out_idx] = idx as u32;
+            self.vc_out_vc[idx] = out_vc;
+            self.vc_mask[w].routed &= !bit;
+            self.vc_mask[w].active |= bit;
+            self.stats.vc_allocs += 1;
+        }
     }
 
     /// Chooses a free output VC in the band permitted by vnet, torus
@@ -865,64 +1001,71 @@ impl Router {
         })
     }
 
-    /// Route computation for head flits at the front of idle VCs.
+    /// Route computation for the front flits of idle non-empty VCs, in
+    /// ascending `(port, vc)` order.
     fn route_compute(&mut self, topo: &TopologyMap) {
-        for port in 0..self.ports {
-            for vc in 0..self.total_vcs {
-                let idx = self.ivc_index(port, vc);
-                if self.vc_state[idx] != VcState::Idle {
-                    continue;
-                }
-                let Some(&head) = self.vc_buf[idx].front() else {
-                    continue;
-                };
-                if !head.kind.is_head() {
-                    if self.fault.is_some() {
-                        // Orphaned body/tail flit whose head was lost on a
-                        // flaky link upstream: discard it. Its buffer-slot
-                        // credit is not returned — lossy channels degrade
-                        // permanently, same as the drop in `phase_send`.
-                        self.vc_buf[idx].pop_front();
-                        self.buffered -= 1;
-                        self.fault_events.flits_dropped_flaky += 1;
-                    } else {
-                        self.poison(format!(
-                            "idle VC front is not a head flit on router {}, port {port}, vc {vc}",
-                            self.id
-                        ));
-                    }
-                    continue;
-                }
-                let decision = topo.route(self.id, &head);
-                if topo.has_detours()
-                    && decision.out_port != topo.route_base(self.id, &head).out_port
-                {
-                    // Steered off dimension order to dodge a dead link:
-                    // a fault survived by routing.
-                    self.fault_events.reroutes += 1;
-                }
-                let next_class = if decision.crosses_dateline {
-                    1
-                } else if self.torus {
-                    // Entering a new ring (different dimension than the one
-                    // the flit arrived on, or fresh from the NI) resets the
-                    // dateline class.
-                    let out_dim = self.port_dim(decision.out_port);
-                    let in_dim = self.port_dim(port);
-                    match (in_dim, out_dim) {
-                        (_, None) => 0, // ejecting; class is irrelevant
-                        (None, Some(_)) => 0,
-                        (Some(i), Some(o)) if i != o => 0,
-                        _ => head.class_bit,
-                    }
-                } else {
-                    0
-                };
-                self.vc_out_port[idx] = decision.out_port;
-                self.vc_next_class[idx] = next_class;
-                self.vc_state[idx] = VcState::Routed;
+        for w in 0..(self.ports * self.mask_words) as usize {
+            let m = self.vc_mask[w];
+            let mut idle = m.nonempty & !(m.routed | m.active);
+            let port = w as u32 / self.mask_words;
+            let vc_base = (w as u32 % self.mask_words) * 64;
+            while idle != 0 {
+                let vc = vc_base + idle.trailing_zeros();
+                idle &= idle - 1;
+                self.route_one(topo, port, vc);
             }
         }
+    }
+
+    /// Routes the head flit at the front of idle input VC `(port, vc)`.
+    fn route_one(&mut self, topo: &TopologyMap, port: u32, vc: u32) {
+        let idx = self.ivc_index(port, vc);
+        let Some(&head) = self.vc_buf[idx].front() else {
+            return;
+        };
+        if !head.kind.is_head() {
+            if self.fault.is_some() {
+                // Orphaned body/tail flit whose head was lost on a flaky
+                // link upstream: discard it. Its buffer-slot credit is not
+                // returned — lossy channels degrade permanently, same as
+                // the drop in `phase_send`.
+                self.pop_flit(port, vc);
+                self.fault_events.flits_dropped_flaky += 1;
+            } else {
+                self.poison(format!(
+                    "idle VC front is not a head flit on router {}, port {port}, vc {vc}",
+                    self.id
+                ));
+            }
+            return;
+        }
+        let decision = topo.route(self.id, &head);
+        if topo.has_detours() && decision.out_port != topo.route_base(self.id, &head).out_port {
+            // Steered off dimension order to dodge a dead link: a fault
+            // survived by routing.
+            self.fault_events.reroutes += 1;
+        }
+        let next_class = if decision.crosses_dateline {
+            1
+        } else if self.torus {
+            // Entering a new ring (different dimension than the one the
+            // flit arrived on, or fresh from the NI) resets the dateline
+            // class.
+            let out_dim = self.port_dim(decision.out_port);
+            let in_dim = self.port_dim(port);
+            match (in_dim, out_dim) {
+                (_, None) => 0, // ejecting; class is irrelevant
+                (None, Some(_)) => 0,
+                (Some(i), Some(o)) if i != o => 0,
+                _ => head.class_bit,
+            }
+        } else {
+            0
+        };
+        self.vc_out_port[idx] = decision.out_port;
+        self.vc_next_class[idx] = next_class;
+        let (w, bit) = self.mask_bit(port, vc);
+        self.vc_mask[w].routed |= bit;
     }
 
     /// Dimension of a directional port (X = `Some(1)`, Y = `Some(0)`),
@@ -1083,7 +1226,49 @@ mod tests {
         for now in 12..24 {
             gated.phase_compute(&topo, &wires, now);
         }
-        assert_eq!(free.delivered, gated.delivered, "gating must not shift timing");
+        assert_eq!(
+            free.delivered, gated.delivered,
+            "gating must not shift timing"
+        );
+    }
+
+    #[test]
+    fn rotated_words_visit_bits_in_modular_scan_order() {
+        for words in 1..4u32 {
+            let bits = 64 * words;
+            // A sparse, irregular bitmap spanning every word.
+            let map: Vec<u64> = (0..words as u64)
+                .map(|w| 0x8000_0000_0000_0421u64.rotate_left(7 * w as u32) | (w << 17))
+                .collect();
+            let set = |b: u32| map[(b / 64) as usize] >> (b % 64) & 1 == 1;
+            for start in 0..bits {
+                let expect: Vec<u32> = (0..bits)
+                    .map(|k| (start + k) % bits)
+                    .filter(|&b| set(b))
+                    .collect();
+                let mut got = Vec::new();
+                for (w, keep) in rotated_words(words, start) {
+                    let mut m = map[w] & keep;
+                    while m != 0 {
+                        got.push(w as u32 * 64 + m.trailing_zeros());
+                        m &= m - 1;
+                    }
+                }
+                assert_eq!(got, expect, "words {words} start {start}");
+            }
+        }
+    }
+
+    #[test]
+    fn audit_catches_a_stale_vc_mask_bit() {
+        let (mut r, _, _) = mini_router();
+        r.vc_mask[0].nonempty |= 1;
+        let err = r.audit().unwrap_err();
+        assert!(err.contains("nonempty"), "unexpected audit message: {err}");
+        r.vc_mask[0].nonempty = 0;
+        r.vc_mask[0].active |= 1 << 63;
+        let err = r.audit().unwrap_err();
+        assert!(err.contains("beyond"), "unexpected audit message: {err}");
     }
 
     #[test]

@@ -36,10 +36,11 @@
 //! work. [`WireClient`] is the matching blocking client used by
 //! `ra-loadgen` and the integration tests; it speaks either codec.
 
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -455,7 +456,7 @@ impl WireServer {
     /// Propagates a fatal accept failure.
     pub fn run(self) -> io::Result<()> {
         let stop = Arc::new(AtomicBool::new(false));
-        self.accept_loop(&stop)
+        self.accept_loop(&stop, &Arc::default())
     }
 
     /// Serves on a background thread; the handle stops it cleanly.
@@ -468,22 +469,25 @@ impl WireServer {
         let stop = Arc::new(AtomicBool::new(false));
         let service = self.service.clone();
         let loop_stop = stop.clone();
+        let open = Arc::new(OpenConns::default());
+        let loop_open = open.clone();
         let thread = std::thread::Builder::new()
             .name("ra-serve-accept".into())
             .spawn(move || {
-                let _ = self.accept_loop(&loop_stop);
+                let _ = self.accept_loop(&loop_stop, &loop_open);
             })
             .expect("spawn accept thread");
         Ok(ServerHandle {
             addr,
             stop,
             service,
+            open,
             thread: Some(thread),
         })
     }
 
-    fn accept_loop(self, stop: &AtomicBool) -> io::Result<()> {
-        for conn in self.listener.incoming() {
+    fn accept_loop(self, stop: &AtomicBool, open: &Arc<OpenConns>) -> io::Result<()> {
+        for (id, conn) in (0u64..).zip(self.listener.incoming()) {
             if stop.load(Ordering::Relaxed) {
                 return Ok(());
             }
@@ -492,17 +496,36 @@ impl WireServer {
                 Err(err) if err.kind() == io::ErrorKind::ConnectionAborted => continue,
                 Err(err) => return Err(err),
             };
+            if let Ok(socket) = stream.try_clone() {
+                open.lock().insert(id, socket);
+            }
             let service = self.service.clone();
             let idle_timeout = self.idle_timeout;
-            let _ = std::thread::Builder::new()
+            let conn_open = open.clone();
+            let spawned = std::thread::Builder::new()
                 .name("ra-serve-conn".into())
                 .spawn(move || {
                     serve_stream(stream, idle_timeout, |request| {
                         dispatch(&service, request)
                     });
+                    conn_open.lock().remove(&id);
                 });
+            if spawned.is_err() {
+                open.lock().remove(&id);
+            }
         }
         Ok(())
+    }
+}
+
+/// The sockets of a server's open connections, keyed by accept order, so
+/// stopping the server can close them.
+#[derive(Default)]
+struct OpenConns(Mutex<HashMap<u64, TcpStream>>);
+
+impl OpenConns {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -639,6 +662,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     service: Arc<JobService>,
+    open: Arc<OpenConns>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -654,8 +678,10 @@ impl ServerHandle {
         self.service.clone()
     }
 
-    /// Signals the accept loop and joins it. Open connections finish
-    /// their in-flight request and close on their own.
+    /// Signals the accept loop, joins it, and shuts down every open
+    /// connection, so the server answers nothing more — not even a request
+    /// it was serving — the way a dead process would. The service keeps
+    /// running until the last handle to it is dropped.
     pub fn stop(mut self) {
         self.stop_inner();
     }
@@ -668,6 +694,9 @@ impl ServerHandle {
         // Unblock the accept() so the loop observes the flag.
         let _ = TcpStream::connect(self.addr);
         let _ = thread.join();
+        for (_, socket) in self.open.lock().drain() {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -1134,6 +1163,19 @@ mod tests {
             Some("cached")
         );
         handle.stop();
+    }
+
+    #[test]
+    fn a_stopped_server_closes_its_open_connections() {
+        let server = WireServer::bind("127.0.0.1:0", tiny_service()).unwrap();
+        let handle = server.spawn().unwrap();
+        let mut client = WireClient::connect(handle.addr()).unwrap();
+        assert!(client.stats().is_ok());
+        handle.stop();
+        assert!(
+            client.stats().is_err(),
+            "a connection opened before stop must not be served after it"
+        );
     }
 
     #[test]

@@ -196,6 +196,8 @@ mod tests {
         assert_eq!(Cycle(1).saturating_sub(Cycle(100)), 0);
     }
 
+    // The check is a `debug_assert!`, so a release build has nothing to test.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "cycle subtraction went negative")]
     fn cycle_sub_underflow_panics_in_debug() {
